@@ -13,6 +13,11 @@ than ``threshold`` (default 25%) relative to the baseline:
   runs on the same machine, so they are compared only when
   ``absolute=True`` (the ``--absolute`` CLI flag).
 * ``metric`` entries are informational and never gated.
+* A baseline entry of any kind that the current run does not emit, or
+  emits under a different kind, gets a ``missing`` verdict, which counts
+  as a regression: a bench that stops reporting an entry must not pass.
+  Entries only the current run has are new and enter the baseline on the
+  next ``--update-baseline``.
 
 A missing baseline file is not an error: the gate bootstraps by writing
 the current results as the new baseline and passing — that is how
@@ -47,22 +52,35 @@ def compare_results(
     threshold: float = DEFAULT_THRESHOLD,
     absolute: bool = False,
 ) -> List[Dict]:
-    """Per-entry verdicts for every gated entry present in both runs.
+    """Per-entry verdicts, in baseline order.
 
     Returns a list of ``{name, kind, current, baseline, ratio, regressed,
-    limit}`` dicts.  Entries present only on one side are skipped — new
-    benches enter the baseline on the next ``--update-baseline``; removed
-    benches silently retire.
+    limit, missing}`` dicts: one per gated entry present in both runs, and
+    one ``missing`` verdict (``regressed`` set, ``current`` None) per
+    baseline entry the current run lacks or reports under another kind.
+    Entries only the current run has are skipped.
     """
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    base = _index(baseline)
+    cur = _index(current)
     verdicts: List[Dict] = []
-    for entry in current:
-        ref = base.get(entry["name"])
-        if ref is None or ref["kind"] != entry["kind"]:
+    for ref in baseline:
+        entry = cur.get(ref["name"])
+        kind = ref["kind"]
+        if entry is None or entry["kind"] != kind:
+            verdicts.append(
+                {
+                    "name": ref["name"],
+                    "kind": kind,
+                    "current": None,
+                    "baseline": float(ref["value"]),
+                    "ratio": None,
+                    "limit": None,
+                    "regressed": True,
+                    "missing": True,
+                }
+            )
             continue
-        kind = entry["kind"]
         if kind == "metric":
             continue
         if kind == "time" and not absolute:
@@ -83,6 +101,7 @@ def compare_results(
                 "ratio": cur_v / base_v if base_v else float("inf"),
                 "limit": limit,
                 "regressed": regressed,
+                "missing": False,
             }
         )
     return verdicts
@@ -92,10 +111,14 @@ def format_verdicts(verdicts: Sequence[Dict]) -> str:
     """Human-readable gate report, one line per compared entry."""
     lines = [f"{'name':<34} {'kind':<8} {'baseline':>10} {'current':>10} {'status':>10}"]
     for v in verdicts:
-        status = "REGRESSED" if v["regressed"] else "ok"
+        if v["missing"]:
+            status, current = "MISSING", "-"
+        else:
+            status = "REGRESSED" if v["regressed"] else "ok"
+            current = f"{v['current']:.4f}"
         lines.append(
             f"{v['name']:<34} {v['kind']:<8} {v['baseline']:>10.4f} "
-            f"{v['current']:>10.4f} {status:>10}"
+            f"{current:>10} {status:>10}"
         )
     return "\n".join(lines)
 
@@ -127,11 +150,12 @@ def run_gate(
         results, payload["results"], threshold=threshold, absolute=absolute
     )
     print(format_verdicts(verdicts))
-    regressions = [v for v in verdicts if v["regressed"]]
-    if regressions:
+    missing = sum(v["missing"] for v in verdicts)
+    slower = sum(v["regressed"] and not v["missing"] for v in verdicts)
+    if missing or slower:
         print(
-            f"gate: FAIL — {len(regressions)} entr{'y' if len(regressions) == 1 else 'ies'} "
-            f"regressed beyond {threshold:.0%}"
+            f"gate: FAIL — {slower} regressed beyond {threshold:.0%}, "
+            f"{missing} missing from this run"
         )
         return EXIT_REGRESSION
     print(f"gate: pass — {len(verdicts)} entries within {threshold:.0%} of baseline")

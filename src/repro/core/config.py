@@ -7,8 +7,23 @@ the paper's exact settings override explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+
+class ConfigError(ValueError):
+    """A run configuration that cannot train (raised at construction)."""
+
+
+def _check_run_shape(world_size: int, batch_field: str, batch: int, lr: float) -> None:
+    """Reject worker counts, batch sizes and learning rates no run can use."""
+    if world_size < 1:
+        raise ConfigError(f"world_size must be >= 1, got {world_size}")
+    if batch < 1:
+        raise ConfigError(f"{batch_field} must be >= 1, got {batch}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"learning rate must be finite and > 0, got {lr}")
 
 
 @dataclass
@@ -117,11 +132,12 @@ class PretrainConfig:
     zero: bool = False
     #: Bucket capacity in MiB for the ZeRO gradient bucketer.
     bucket_mb: float = 1.0
-    #: Run training steps through the tape compiler (repro.compiler):
-    #: trace once per batch shape, replay a validated fused/planned
-    #: instruction list afterwards.  Bit-identical to eager — every
-    #: cached plan survived a bitwise validation replay.
-    compile: bool = False
+
+    def __post_init__(self) -> None:
+        _check_run_shape(
+            self.world_size, "batch_per_worker", self.batch_per_worker,
+            self.optimizer.base_lr,
+        )
 
     @property
     def bucket_bytes(self) -> int:
@@ -154,8 +170,11 @@ class FinetuneConfig:
     head_hidden_dim: int = 48
     head_blocks: int = 3
     seed: int = 11
-    #: See PretrainConfig.compile.
-    compile: bool = False
+
+    def __post_init__(self) -> None:
+        _check_run_shape(
+            self.world_size, "batch_size", self.batch_size, self.optimizer.base_lr
+        )
 
 
 @dataclass

@@ -40,7 +40,6 @@ from repro.distributed.faults import (
     CommFault,
     FaultInjector,
     FaultProfile,
-    GradientCorruption,
     RankCrash,
     RetryPolicy,
     StepFailure,
@@ -94,7 +93,6 @@ __all__ = [
     "ChaosEngine",
     "FaultInjector",
     "FaultProfile",
-    "GradientCorruption",
     "RankCrash",
     "RetryPolicy",
     "StepFailure",

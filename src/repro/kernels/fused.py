@@ -26,9 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-import importlib
-
-_tensor_core = importlib.import_module("repro.autograd.tensor")
 from repro.autograd.tensor import Tensor, stable_matmul
 
 _SELU_ALPHA = 1.6732632423543772
@@ -190,16 +187,7 @@ def linear_act(
         weight._accumulate_owned(stable_matmul(np.swapaxes(x_data, -1, -2), gz))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    # Tape-export annotations: the activation key is not recoverable from the
-    # backward closure (softplus and shifted_softplus share one backward),
-    # and ``owns_buffers`` declares that this backward reads buffers mutated
-    # in place during the forward (``z`` above carries the bias add; for the
-    # identity activation the *output* aliases ``z``) — the memory planner
-    # must never recycle this node's output into the buffer arena.
-    meta = None
-    if _tensor_core._RECORDER is not None:
-        meta = {"act": act or "identity", "owns_buffers": True}
-    return Tensor._make(out_data, parents, backward, meta)
+    return Tensor._make(out_data, parents, backward)
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
@@ -225,10 +213,7 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
         x._accumulate(t)
         x._accumulate(t)
 
-    meta = None
-    if _tensor_core._RECORDER is not None:
-        meta = {"eps": eps, "owns_buffers": True}
-    return Tensor._make(out_data, (x, weight), backward, meta)
+    return Tensor._make(out_data, (x, weight), backward)
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -261,10 +246,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
         gmu = (-G).sum(axis=-1, keepdims=True)
         x._accumulate(np.broadcast_to(gmu * inv_d, x_data.shape))
 
-    meta = None
-    if _tensor_core._RECORDER is not None:
-        meta = {"eps": eps, "owns_buffers": True}
-    return Tensor._make(out_data, (x, weight, bias), backward, meta)
+    return Tensor._make(out_data, (x, weight, bias), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

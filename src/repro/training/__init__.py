@@ -14,7 +14,6 @@ from repro.training.callbacks import (
     FaultEventMonitor,
     ModelCheckpoint,
     LRMonitor,
-    ProgressCallback,
     ThroughputMeter,
     SpikeDetector,
     GradientStatsMonitor,
@@ -41,7 +40,6 @@ __all__ = [
     "FaultEventMonitor",
     "ModelCheckpoint",
     "LRMonitor",
-    "ProgressCallback",
     "ThroughputMeter",
     "SpikeDetector",
     "GradientStatsMonitor",

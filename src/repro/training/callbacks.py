@@ -10,7 +10,6 @@ becomes measurable via ``spike_count`` and ``recovered``.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Dict, List, Optional
 
@@ -109,37 +108,6 @@ class LRMonitor(Callback):
         lr = trainer.optimizer.lr
         self.trace.append((epoch, lr))
         trainer.history.log(trainer.global_step, epoch, "lr", lr=lr)
-
-
-class ProgressCallback(Callback):
-    """Print per-step progress lines (loss, learning rate, epoch).
-
-    Renders ``lr=-`` when no optimizer is attached rather than ``lr=nan``,
-    and only finite values ever reach the printed line or the kept records.
-    """
-
-    def __init__(self, every_n_steps: int = 1, stream=None):
-        self.every = max(int(every_n_steps), 1)
-        self.stream = stream
-        self.lines: List[str] = []
-
-    def _write(self, line: str) -> None:
-        self.lines.append(line)
-        if self.stream is not None:
-            print(line, file=self.stream)
-
-    def on_step_end(self, trainer, task, step: int, loss: float, metrics: Dict) -> None:
-        if step % self.every != 0:
-            return
-        loss_txt = f"{loss:.4f}" if math.isfinite(loss) else "-"
-        if trainer.optimizer is None or not math.isfinite(trainer.optimizer.lr):
-            lr_txt = "-"
-        else:
-            lr_txt = f"{trainer.optimizer.lr:.3e}"
-        self._write(
-            f"epoch {trainer.current_epoch} step {step}: "
-            f"loss={loss_txt} lr={lr_txt}"
-        )
 
 
 class ThroughputMeter(Callback):

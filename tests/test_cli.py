@@ -112,3 +112,37 @@ class TestExecution:
         )
         assert code == 0
         assert "band_gap_mae" in capsys.readouterr().out
+
+
+class TestBadInput:
+    """A config no run can use fails at the boundary: one stderr line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--world-size", "0"], "world_size must be >= 1"),
+            (["--batch-per-worker", "0"], "batch_per_worker must be >= 1"),
+            (["--lr", "nan"], "learning rate must be finite and > 0"),
+        ],
+    )
+    def test_pretrain_rejects_unusable_config(self, capsys, flags, message):
+        assert main(["pretrain", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        assert message in lines[0]
+
+    @pytest.mark.parametrize("flags", [["--world-size", "0"], ["--lr=-1e-3"], ["--lr", "inf"]])
+    def test_finetune_rejects_unusable_config(self, capsys, flags):
+        assert main(["finetune", *flags]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("repro: error: ")
+
+    def test_config_rejects_zero_batch(self):
+        from repro.core import FinetuneConfig
+        from repro.core.config import ConfigError
+
+        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+            FinetuneConfig(batch_size=0)

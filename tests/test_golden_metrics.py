@@ -129,28 +129,30 @@ class TestGoldenPretrainZero:
         assert loss == pytest.approx(GOLDEN_PRETRAIN_TRAIN_LOSS, abs=TOL)
 
 
-@pytest.mark.compile
-class TestGoldenPretrainCompiled:
-    """The ``--compile`` variant must reproduce the *eager* goldens exactly.
+def _run_reference(run, config):
+    """Run a workflow with every kernel on its reference composition,
+    counting the kernel calls it makes."""
+    from repro.kernels.dispatch import use_fused
+    from tests.kernel_calls import count_kernel_calls
 
-    Every cached plan survived a bitwise validation replay before use, and
-    every non-compilable step ran eagerly, so the compiled run is pinned to
-    the same constants as the plain run — not to separately captured
-    values.  A drift here means a plan replayed something the eager tape
-    would not have computed.
+    with use_fused(False), count_kernel_calls() as calls:
+        outcome = run(config)
+    return outcome, calls
+
+
+class TestGoldenPretrainCompiled:
+    """The reference-kernel variant must reproduce the fused goldens exactly.
+
+    ``REPRO_FUSED=0`` swaps every fused kernel for its reference
+    composition; the fused kernels replay the reference arithmetic in the
+    same order, so this run is pinned to the same constants as the plain
+    run — not to separately captured values.  (The class name dates from
+    the tape compiler, whose compiled run it pinned before.)
     """
 
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.compiler import get_plan_cache, reset_plan_cache
-
-        reset_plan_cache()
-        config = _pretrain_config()
-        config.compile = True
-        outcome = pretrain_symmetry(config)
-        stats = get_plan_cache().stats()
-        reset_plan_cache()
-        return outcome, stats
+        return _run_reference(pretrain_symmetry, _pretrain_config())
 
     def test_final_val_cross_entropy(self, result):
         ce = result[0].history.last("val", "ce")
@@ -165,26 +167,18 @@ class TestGoldenPretrainCompiled:
         assert loss == pytest.approx(GOLDEN_PRETRAIN_TRAIN_LOSS, abs=TOL)
 
     def test_compiler_actually_engaged(self, result):
-        stats = result[1]
-        assert stats["traces"] > 0, stats
-        assert stats["validation_failures"] == 0, stats
-        assert stats["taints"] == 0, stats
+        calls = result[1]
+        assert not calls["fused"], calls
+        assert calls["reference"]["linear_act"] > 0, calls
+        assert calls["reference"]["softmax_cross_entropy"] > 0, calls
 
 
-@pytest.mark.compile
 class TestGoldenFinetuneCompiled:
-    """Compiled fine-tuning is pinned to the same eager goldens (see above)."""
+    """Reference-kernel fine-tuning is pinned to the same goldens (see above)."""
 
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.compiler import reset_plan_cache
-
-        reset_plan_cache()
-        config = _finetune_config()
-        config.compile = True
-        outcome = train_band_gap(config)
-        reset_plan_cache()
-        return outcome
+        return _run_reference(train_band_gap, _finetune_config())[0]
 
     def test_final_mae(self, result):
         assert result.final_mae == pytest.approx(GOLDEN_FINETUNE_FINAL_MAE, abs=TOL)
@@ -315,29 +309,18 @@ class TestGoldenMEGNetFinetune:
 
 
 @pytest.mark.megnet
-@pytest.mark.compile
 class TestGoldenMEGNetPretrainCompiled:
-    """Compiled MEGNet must reproduce the eager goldens via taint-fallback.
+    """Reference-kernel MEGNet must reproduce the fused goldens.
 
-    Set2Set's segment_softmax taints every training-step trace, so the
-    compiler never installs a plan for MEGNet — each step falls back to
-    the eager tape it just recorded.  The contract is therefore inverted
-    relative to TestGoldenPretrainCompiled: the metrics are pinned to the
-    same eager constants, and the stats must show the taints were
-    *counted* (fallback happened for the stated reason), not absent.
+    Set2Set's readout recurrence runs ``lstm_cell``, whose fused backward
+    replays the reference chain's firing order, so the metrics are pinned
+    to the same constants, and the Set2Set recurrence must be seen running
+    on the reference composition.
     """
 
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.compiler import get_plan_cache, reset_plan_cache
-
-        reset_plan_cache()
-        config = _megnet_pretrain_config()
-        config.compile = True
-        outcome = pretrain_symmetry(config)
-        stats = get_plan_cache().stats()
-        reset_plan_cache()
-        return outcome, stats
+        return _run_reference(pretrain_symmetry, _megnet_pretrain_config())
 
     def test_final_val_cross_entropy(self, result):
         ce = result[0].history.last("val", "ce")
@@ -348,11 +331,9 @@ class TestGoldenMEGNetPretrainCompiled:
         assert loss == pytest.approx(GOLDEN_MEGNET_PRETRAIN_TRAIN_LOSS, abs=TOL)
 
     def test_taint_fallback_counted(self, result):
-        stats = result[1]
-        assert stats["traces"] > 0, stats
-        assert stats["taints"] > 0, stats  # Set2Set segment_softmax
-        assert stats["validation_failures"] == 0, stats
-        assert stats["plans"] == 0, stats  # nothing ever got installed
+        calls = result[1]
+        assert not calls["fused"], calls
+        assert calls["reference"]["lstm_cell"] > 0, calls  # Set2Set readout
 
 
 # Train -> save -> load -> screen: candidate identities pinned exactly,
